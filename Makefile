@@ -74,8 +74,10 @@ bench-gate: build
 	$(GO) run ./cmd/qgear-bench -exp tiling -json-dir $(BENCH_OUT) \
 		-gate-baseline bench/baseline -gate-tol 0.20
 
+# Serving smoke load: 100 clients each submit one distinct GHZ-16
+# circuit twice, so the second round is served from the result cache.
 bench-serve: build
-	$(GO) run ./cmd/qgear-serve bench -clients 100 -waves 2 -qubits 16
+	$(GO) run ./cmd/qgear-bench load -clients 100 -requests 2 -qubits 16 -expect-every 0
 
 # CI service load check: 50 clients of mixed simulate/expectation HTTP
 # load through an embedded server with a deliberately tight byte budget

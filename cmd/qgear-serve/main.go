@@ -1,41 +1,27 @@
 // Command qgear-serve runs the Q-GEAR simulation service: an HTTP JSON
 // API over the internal/service layer (bounded job queue, worker pool,
 // batch coalescing onto the mqpu device-parallel path, and a
-// content-addressed LRU result cache), plus a self-contained load
-// generator for benchmarking it.
+// content-addressed LRU result cache).
 //
 // Usage:
 //
 //	qgear-serve serve -addr :8042 -target nvidia-mqpu -devices 4 -pool 2 -cache 1024
-//	qgear-serve bench -addr http://localhost:8042 -clients 100 -waves 2 -qubits 16
-//	qgear-serve bench -clients 100 -waves 2            # embedded server, no network setup
+//	qgear-serve warmstart -phase seed -store-dir /path/to/store
 //
-// The bench subcommand spawns -clients concurrent clients; each
-// submits one distinct GHZ-style circuit per wave and polls it to
-// completion. Waves repeat the same circuit set, so every wave after
-// the first should be served from the result cache — the reported
-// per-wave hit rate (from /v1/stats deltas) verifies it.
+// Load generation lives in `qgear-bench load`.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sort"
-	"sync"
 	"syscall"
 	"time"
 
-	"qgear/internal/bench"
-	"qgear/internal/circuit"
 	"qgear/internal/service"
 )
 
@@ -48,8 +34,6 @@ func main() {
 	switch os.Args[1] {
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "warmstart":
 		err = cmdWarmstart(os.Args[2:])
 	case "-h", "--help", "help":
@@ -69,7 +53,6 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `qgear-serve <command> [flags]
 commands:
   serve      run the simulation HTTP service (/v1/jobs, /v1/results, /v1/stats)
-  bench      load-generate against a running server (or an embedded one)
   warmstart  warm-restart acceptance check for the -store-dir persistence path
 run "qgear-serve <command> -h" for flags`)
 }
@@ -148,224 +131,4 @@ func cmdServe(args []string) error {
 		}
 		return srv.Close()
 	}
-}
-
-// benchResult aggregates one wave of load.
-type benchResult struct {
-	requests  int
-	errors    int
-	wall      time.Duration
-	latencies []time.Duration
-	hits      uint64 // stats-delta: cache + single-flight hits this wave
-	submitted uint64
-}
-
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	cfg := serviceFlags(fs)
-	addr := fs.String("addr", "", "server base URL (empty = run an embedded server)")
-	clients := fs.Int("clients", 100, "concurrent clients")
-	waves := fs.Int("waves", 2, "submission waves (wave >= 2 repeats wave 1's circuits)")
-	qubits := fs.Int("qubits", 16, "GHZ circuit width")
-	shots := fs.Int("shots", 0, "shots per job (0 = probabilities only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	base := *addr
-	if base == "" {
-		srv, err := service.New(*cfg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		base = ts.URL
-		ecfg := srv.Config()
-		fmt.Printf("bench: embedded server (target=%s devices=%d pool=%d batch=%d)\n",
-			ecfg.Target, ecfg.Devices, ecfg.WorkerPool, ecfg.MaxBatch)
-	}
-	client := &http.Client{Timeout: 60 * time.Second}
-
-	// One distinct circuit per client: GHZ-n with a client-specific
-	// phase twist so wave 1 is all cache misses and later waves are
-	// pure repeats.
-	circs := make([]*circuit.Circuit, *clients)
-	for i := range circs {
-		circs[i] = benchCircuit(*qubits, i)
-	}
-
-	fmt.Printf("bench: %d clients x %d waves, GHZ-%d, shots=%d -> %s\n",
-		*clients, *waves, *qubits, *shots, base)
-	var overallHits, overallSubmitted uint64
-	for w := 1; w <= *waves; w++ {
-		before, err := fetchStats(client, base)
-		if err != nil {
-			return fmt.Errorf("wave %d: reading stats: %w", w, err)
-		}
-		res := runWave(client, base, circs, *shots)
-		after, err := fetchStats(client, base)
-		if err != nil {
-			return fmt.Errorf("wave %d: reading stats: %w", w, err)
-		}
-		res.hits = (after.CacheHits + after.SingleFlightHits + after.StoreHits) -
-			(before.CacheHits + before.SingleFlightHits + before.StoreHits)
-		res.submitted = after.Submitted - before.Submitted
-		overallHits += res.hits
-		overallSubmitted += res.submitted
-		printWave(w, res)
-	}
-	final, err := fetchStats(client, base)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("overall: hit rate %.1f%% (%d/%d), server lifetime hit rate %.1f%%, cache %d/%d entries, %d evictions, mean batch %.1f, plan cache %d hits / %d misses\n",
-		pct(overallHits, overallSubmitted), overallHits, overallSubmitted,
-		final.HitRate*100, final.CacheLen, final.CacheCapacity, final.CacheEvictions, final.MeanBatchLen,
-		final.PlanCacheHits, final.PlanCacheMisses)
-	fmt.Printf("cache bytes: %d resident / %d budget (plan cache %d / %d)\n",
-		final.CacheBytes, final.CacheMaxBytes, final.PlanCacheBytes, final.PlanCacheMaxBytes)
-	if final.CacheMaxBytes > 0 && final.CacheBytes > final.CacheMaxBytes {
-		return fmt.Errorf("bench: resident cache %d bytes exceeds -max-cache-bytes %d", final.CacheBytes, final.CacheMaxBytes)
-	}
-	if final.StoreDir != "" {
-		fmt.Printf("store: %d result hits, %d plan hits, %d spills (%d dropped), %d errors, %d+%d entries / %d bytes at %s\n",
-			final.StoreHits, final.StorePlanHits, final.StoreSpills, final.StoreSpillDrops, final.StoreErrors,
-			final.StoreResultEntries, final.StorePlanEntries, final.StoreBytes, final.StoreDir)
-	}
-	return nil
-}
-
-// benchCircuit builds the i-th client's distinct GHZ-style circuit: the
-// standard ladder plus a tiny client-specific RZ twist, which leaves
-// the distribution effectively unchanged but gives every client a
-// unique content address (so only true resubmissions hit the cache).
-func benchCircuit(n, i int) *circuit.Circuit {
-	c := circuit.GHZ(n, false)
-	c.Name = fmt.Sprintf("bench-ghz%d-%d", n, i)
-	c.RZ(1e-6*float64(i+1), 0)
-	return c
-}
-
-func runWave(client *http.Client, base string, circs []*circuit.Circuit, shots int) benchResult {
-	res := benchResult{requests: len(circs), latencies: make([]time.Duration, len(circs))}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	start := time.Now()
-	for i, c := range circs {
-		wg.Add(1)
-		go func(i int, c *circuit.Circuit) {
-			defer wg.Done()
-			t0 := time.Now()
-			err := submitAndPoll(client, base, c, shots, uint64(i))
-			lat := time.Since(t0)
-			mu.Lock()
-			res.latencies[i] = lat
-			if err != nil {
-				res.errors++
-			}
-			mu.Unlock()
-		}(i, c)
-	}
-	wg.Wait()
-	res.wall = time.Since(start)
-	return res
-}
-
-// submitAndPoll pushes one job through the API and polls it to a
-// terminal state, honoring the server's Retry-After hint on queue-full
-// responses.
-func submitAndPoll(client *http.Client, base string, c *circuit.Circuit, shots int, seed uint64) error {
-	req := service.SubmitRequest{Circuit: service.FromCircuit(c), Shots: shots, Seed: seed}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	var info service.JobInfo
-	for attempt := 0; ; attempt++ {
-		resp, err := client.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		status := resp.StatusCode
-		err = json.NewDecoder(resp.Body).Decode(&info)
-		resp.Body.Close()
-		if status == http.StatusTooManyRequests && attempt < 200 {
-			time.Sleep(bench.RetryAfterDelay(resp.Header, time.Duration(attempt+1)*time.Millisecond))
-			continue
-		}
-		if status != http.StatusAccepted {
-			return fmt.Errorf("submit: HTTP %d", status)
-		}
-		if err != nil {
-			return err
-		}
-		break
-	}
-	deadline := time.Now().Add(5 * time.Minute)
-	for {
-		if info.State == service.StateDone {
-			return nil
-		}
-		if info.State == service.StateFailed {
-			return fmt.Errorf("job %s failed: %s", info.ID, info.Error)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("job %s: poll deadline exceeded in state %q", info.ID, info.State)
-		}
-		time.Sleep(2 * time.Millisecond)
-		resp, err := client.Get(base + "/v1/jobs/" + info.ID)
-		if err != nil {
-			return err
-		}
-		status := resp.StatusCode
-		err = json.NewDecoder(resp.Body).Decode(&info)
-		resp.Body.Close()
-		if status != http.StatusOK {
-			// e.g. 404 after server-side job retention eviction.
-			return fmt.Errorf("poll %s: HTTP %d", info.ID, status)
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func fetchStats(client *http.Client, base string) (service.Stats, error) {
-	var st service.Stats
-	resp, err := client.Get(base + "/v1/stats")
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		return st, fmt.Errorf("stats: HTTP %d: %s", resp.StatusCode, b)
-	}
-	return st, json.NewDecoder(resp.Body).Decode(&st)
-}
-
-func printWave(w int, r benchResult) {
-	lats := append([]time.Duration(nil), r.latencies...)
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pctl := func(p float64) time.Duration {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(lats)-1))
-		return lats[i]
-	}
-	rps := float64(r.requests) / r.wall.Seconds()
-	fmt.Printf("wave %d: %d reqs in %v (%.0f req/s), errors %d, latency p50 %v p95 %v max %v, hit rate %.1f%% (%d/%d)\n",
-		w, r.requests, r.wall.Round(time.Millisecond), rps, r.errors,
-		pctl(0.50).Round(time.Microsecond), pctl(0.95).Round(time.Microsecond), pctl(1.0).Round(time.Microsecond),
-		pct(r.hits, r.submitted), r.hits, r.submitted)
-}
-
-func pct(hits, total uint64) float64 {
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(hits) / float64(total)
 }

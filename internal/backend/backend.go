@@ -478,7 +478,7 @@ func runSingleTraced(comp *Compiled, workers int, tr *telemetry.Trace, flag *can
 
 // runSingleState executes a compiled circuit and returns the resident
 // state itself — possibly with a pending qubit permutation, which the
-// expectation evaluator reads through rather than materializing.
+// expectation reduction materializes once before its first term.
 func runSingleState(comp *Compiled, workers int, flag *cancel.Flag) (*statevec.State, error) {
 	s, err := statevec.New(comp.Kernel.NumQubits, workers)
 	if err != nil {

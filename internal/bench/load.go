@@ -310,6 +310,11 @@ func RunLoad(cfg LoadConfig, w io.Writer) (*LoadReport, error) {
 
 	printLoadReport(w, rep)
 
+	// The byte-bounded result cache must honor its budget under load.
+	if statsAfter.CacheMaxBytes > 0 && statsAfter.CacheBytes > statsAfter.CacheMaxBytes {
+		return rep, fmt.Errorf("load: resident result cache %d bytes exceeds its %d-byte budget",
+			statsAfter.CacheBytes, statsAfter.CacheMaxBytes)
+	}
 	if cfg.RequireMetrics {
 		var missing []string
 		for _, f := range requiredFamilies {

@@ -13,13 +13,13 @@ import (
 )
 
 // Distributed observable estimation: every rank executes the compiled
-// plan (or the per-gate kernel) on its shard, then evaluates each
-// Pauli term against the *resident* shard amplitudes — no probability
-// gather, no permutation materialization. The canonical reduction of
-// statevec's expectation contract makes rank partials exact subtrees
-// of the single-device reduction, so the gathered value is
-// bit-identical to the local engines (for up to 2^4 ranks, the
-// reserve the chunk width guarantees).
+// plan (or the per-gate kernel) on its shard, materializes any pending
+// plan permutation once, then evaluates each Pauli term against the
+// *resident* shard amplitudes — no probability gather. The canonical
+// reduction of statevec's expectation contract makes rank partials
+// exact subtrees of the single-device reduction, so the gathered
+// value is bit-identical to the local engines (for up to 2^4 ranks,
+// the reserve the chunk width guarantees).
 //
 // Rank-index bits of a term resolve per rank with zero communication:
 // a Z factor on a rank bit is a constant sign, a pure-rank-bit Z
@@ -88,7 +88,7 @@ func buildTermSpecs(h *observable.Hamiltonian, n int) ([]termSpec, error) {
 // term. Ranks that own no slice of the term's enumeration still take
 // part in its pairwise exchange (their partner needs the buffer) and
 // return 0.
-func (d *DistState) expTermPartial(ev *statevec.PauliEvaluator, sp termSpec) float64 {
+func (d *DistState) expTermPartial(sp termSpec) float64 {
 	if sp.identity {
 		return 0 // folded in at root as coef·1
 	}
@@ -115,12 +115,12 @@ func (d *DistState) expTermPartial(ev *statevec.PauliEvaluator, sp termSpec) flo
 		if gflip := sp.flip >> uint(d.local); gflip != 0 {
 			// One exchange serves every pair of this term; both sides of
 			// a pivot pair must call it even if only one side sums.
-			args.Partner = d.exchangeRaw(d.comm.Rank() ^ int(gflip))
+			args.Partner = d.exchange(d.comm.Rank() ^ int(gflip))
 		}
 		if args.Pivot < 0 && d.rankBit(sp.pivot) == 1 {
 			return 0 // the pivot-0 partner owns these pairs
 		}
-		v, _ := ev.Shard(args)
+		v, _ := d.st.Shard(args)
 		return v
 	}
 	// Pure-Z term: rank bits contribute parity, never data movement.
@@ -136,7 +136,7 @@ func (d *DistState) expTermPartial(ev *statevec.PauliEvaluator, sp termSpec) flo
 		}
 		args.Pivot = -1
 	}
-	v, _ := ev.Shard(args)
+	v, _ := d.st.Shard(args)
 	return v
 }
 
@@ -224,15 +224,15 @@ func ExpectationCompiledCancel(k *kernel.Kernel, plan *kernel.TilePlan, h *obser
 		if err != nil {
 			return err
 		}
-		// One evaluator per rank: the shard layout (including a pending
-		// plan permutation) is frozen for the whole term sweep.
-		ev := d.st.PauliEvaluator()
+		// Materialize the shard once, before the term sweep: every term
+		// and every exchange then reads the canonical layout.
+		d.st.MaterializePerm()
 		partials := make([]float64, len(specs))
 		for ti, sp := range specs {
 			if err := d.pollCancel(flag); err != nil {
 				return fmt.Errorf("mgpu: expectation term %d: %w", ti, err)
 			}
-			partials[ti] = d.expTermPartial(ev, sp)
+			partials[ti] = d.expTermPartial(sp)
 		}
 		all := c.GatherFloat64s(0, partials)
 		ex := c.Reduce(0, float64(d.Exchanges()), mpi.OpSum)

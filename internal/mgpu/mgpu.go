@@ -99,22 +99,15 @@ func (d *DistState) rankBit(q int) int {
 }
 
 // exchange swaps the full local buffer with the partner rank and
-// returns the partner's amplitudes. A copy is shipped (not the live
-// slice) because ranks share an address space here, while real
-// CUDA-aware MPI would DMA the buffer; the copy is also what makes the
-// communication cost physically meaningful.
+// returns the partner's amplitudes. A pending qubit permutation is
+// materialized first, so both sides of a pair ship the canonical
+// layout. A copy is shipped (not the live slice) because ranks share
+// an address space here, while real CUDA-aware MPI would DMA the
+// buffer; the copy is also what makes the communication cost
+// physically meaningful.
 func (d *DistState) exchange(partner int) []complex128 {
-	d.st.Amplitudes() // materialize any pending permutation first
-	return d.exchangeRaw(partner)
-}
-
-// exchangeRaw ships the shard's amplitudes in their current physical
-// layout, without materializing a pending qubit permutation — the
-// expectation evaluator translates indices through its lookup tables,
-// and both shards of a pair always share one layout (SPMD execution).
-func (d *DistState) exchangeRaw(partner int) []complex128 {
+	amps := d.st.Amplitudes()
 	start := time.Now()
-	amps := d.st.AmplitudesRaw()
 	if d.sendBuf == nil {
 		d.sendBuf = make([]complex128, len(amps))
 	}

@@ -6,10 +6,11 @@
 //
 // A Hamiltonian is a real-weighted sum of Pauli strings. Expectation
 // values are evaluated directly against the resident state vector
-// (statevec.PauliEvaluator): no clone, no basis-rotation sweeps, no
-// materialization of a pending qubit permutation, and only the
-// affected index half enumerated per term. Partition splits the term
-// list into balanced groups, and ExpectationParallel evaluates terms
+// (statevec.State.ExpPauli): no clone, no basis-rotation sweeps, and
+// only the affected index half enumerated per term. A pending qubit
+// permutation is materialized once, before the first term, so every
+// term reads canonical indices. Partition splits the term list into
+// balanced groups, and ExpectationParallel evaluates terms
 // concurrently across simulated devices with a bit-identical result.
 package observable
 
@@ -103,24 +104,24 @@ func (t Term) Masks(n int) (xm, ym, zm uint64, err error) {
 	return xm, ym, zm, nil
 }
 
-// Expectation computes <ψ|T|ψ> directly on the resident state — s is
-// read, never modified (no clone, no rotation sweeps; a pending qubit
-// permutation is translated, not materialized).
+// Expectation computes <ψ|T|ψ> directly on the resident state (no
+// clone, no rotation sweeps). A pending qubit permutation is
+// materialized first, so s must not be read concurrently.
 func (t Term) Expectation(s *statevec.State) (float64, error) {
-	v, _, err := t.expectationOn(s.PauliEvaluator(), s.NumQubits())
+	v, _, err := t.expectationOn(s)
 	return v, err
 }
 
-// expectationOn evaluates the term through a shared evaluator,
-// returning the coefficient-weighted value and the enumerated index
-// count (the stride-iteration invariant the regression tests pin:
-// non-identity terms visit exactly half the state).
-func (t Term) expectationOn(ev *statevec.PauliEvaluator, n int) (float64, int, error) {
-	xm, ym, zm, err := t.Masks(n)
+// expectationOn evaluates the term against s, returning the
+// coefficient-weighted value and the enumerated index count (the
+// stride-iteration invariant the regression tests pin: non-identity
+// terms visit exactly half the state).
+func (t Term) expectationOn(s *statevec.State) (float64, int, error) {
+	xm, ym, zm, err := t.Masks(s.NumQubits())
 	if err != nil {
 		return 0, 0, err
 	}
-	val, visited, err := ev.ExpPauli(xm, ym, zm)
+	val, visited, err := s.ExpPauli(xm, ym, zm)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -174,9 +175,8 @@ func (h *Hamiltonian) String() string {
 	return strings.Join(parts, " + ")
 }
 
-// Expectation evaluates every term sequentially against one shared
-// evaluator (one index-table build for all terms), accumulating in
-// term order.
+// Expectation evaluates every term sequentially, accumulating in term
+// order.
 func (h *Hamiltonian) Expectation(s *statevec.State) (float64, error) {
 	return h.ExpectationCancel(s, nil)
 }
@@ -186,13 +186,13 @@ func (h *Hamiltonian) Expectation(s *statevec.State) (float64, error) {
 // state, so that is the natural unit of interruptible work. A nil flag
 // never trips.
 func (h *Hamiltonian) ExpectationCancel(s *statevec.State, flag *cancel.Flag) (float64, error) {
-	ev := s.PauliEvaluator()
+	s.MaterializePerm()
 	var acc float64
 	for i, t := range h.Terms {
 		if err := flag.Err(); err != nil {
 			return 0, fmt.Errorf("observable: term %d: %w", i, err)
 		}
-		v, _, err := t.expectationOn(ev, s.NumQubits())
+		v, _, err := t.expectationOn(s)
 		if err != nil {
 			return 0, err
 		}
@@ -219,7 +219,8 @@ func (h *Hamiltonian) Partition(k int) [][]Term {
 
 // ExpectationParallel partitions the Hamiltonian's terms over
 // `devices` concurrent evaluators — the multi-device Hamiltonian
-// evaluation mode. Direct evaluation is read-only, so every device
+// evaluation mode. A pending permutation is materialized before any
+// device starts, after which evaluation is read-only: every device
 // works against the one resident state (no per-device clones), and
 // per-term values land in a slice that is then summed in term order:
 // the result is bit-identical to Expectation for any device count.
@@ -238,8 +239,9 @@ func (h *Hamiltonian) ExpectationParallelCancel(s *statevec.State, devices int, 
 	if devices > len(h.Terms) && len(h.Terms) > 0 {
 		devices = len(h.Terms)
 	}
-	ev := s.PauliEvaluator()
-	n := s.NumQubits()
+	// Materialize before the fan-out: the devices then only read the
+	// layout, so no write races a read.
+	s.MaterializePerm()
 	vals := make([]float64, len(h.Terms))
 	errs := make([]error, len(h.Terms))
 	var wg sync.WaitGroup
@@ -252,7 +254,7 @@ func (h *Hamiltonian) ExpectationParallelCancel(s *statevec.State, devices int, 
 					errs[i] = fmt.Errorf("observable: term %d: %w", i, err)
 					return
 				}
-				vals[i], _, errs[i] = h.Terms[i].expectationOn(ev, n)
+				vals[i], _, errs[i] = h.Terms[i].expectationOn(s)
 			}
 		}(d)
 	}

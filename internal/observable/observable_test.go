@@ -178,7 +178,6 @@ func TestStringRendering(t *testing.T) {
 func TestTermExpectationVisitCount(t *testing.T) {
 	n := 10
 	s := ghz(t, n)
-	ev := s.PauliEvaluator()
 	for _, tc := range []struct {
 		term Term
 		want int
@@ -189,7 +188,7 @@ func TestTermExpectationVisitCount(t *testing.T) {
 		{NewTerm(1, map[int]Pauli{5: X}), 1 << (n - 1)},
 		{NewTerm(1, map[int]Pauli{1: Y, 8: Z}), 1 << (n - 1)},
 	} {
-		_, visited, err := tc.term.expectationOn(ev, n)
+		_, visited, err := tc.term.expectationOn(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,6 +212,48 @@ func TestExpectationParallelBitIdentical(t *testing.T) {
 		}
 		if par != seq {
 			t.Fatalf("devices=%d: parallel %.17g != sequential %.17g (must be bit-identical)", devices, par, seq)
+		}
+	}
+}
+
+// TestExpectationParallelPendingPermutation runs the term-parallel
+// path on states that still carry a pending qubit permutation. The
+// permutation is materialized before the devices start, so the race
+// detector must see no write racing a term read, and every device
+// count must match sequential evaluation bit for bit.
+func TestExpectationParallelPendingPermutation(t *testing.T) {
+	const n = 13 // 2^12-index term sweeps: Shard fans out across workers
+	h := TransverseFieldIsing(n, 1.1, 0.6)
+	h.Add(NewTerm(0.3, map[int]Pauli{0: Y, 7: X, 12: Z}))
+	r := qmath.NewRNG(5)
+	base := statevec.MustNew(n, 2)
+	for i := 0; i < 40; i++ {
+		q := r.Intn(n)
+		base.ApplyMat1(q, gate.Matrix1(gate.U3, []float64{r.Angle(), r.Angle(), r.Angle()}))
+		base.ApplyCX(q, (q+3)%n)
+	}
+	// Move data with physical swaps, then relabel them back: the
+	// logical state is unchanged but the layout is permuted.
+	permuted := base.Clone()
+	for _, p := range [][2]int{{0, 9}, {2, 12}, {5, 6}} {
+		permuted.ApplySwap(p[0], p[1])
+		permuted.SwapLogical(p[0], p[1])
+	}
+	if permuted.PermIsIdentity() {
+		t.Fatal("construction left no pending permutation")
+	}
+	want, err := h.Expectation(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, devices := range []int{2, 3, 8} {
+		s := permuted.Clone()
+		got, err := h.ExpectationParallel(s, devices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("devices=%d: parallel on permuted layout %.17g != sequential %.17g", devices, got, want)
 		}
 	}
 }

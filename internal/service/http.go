@@ -191,8 +191,8 @@ func (w *WireCircuit) ToCircuit() (*circuit.Circuit, error) {
 	return c, nil
 }
 
-// FromCircuit renders a circuit in wire form (used by clients like the
-// qgear-serve bench subcommand).
+// FromCircuit renders a circuit in wire form (used by clients like
+// qgear-bench load).
 func FromCircuit(c *circuit.Circuit) *WireCircuit {
 	w := &WireCircuit{Name: c.Name, Qubits: c.NumQubits, Clbits: c.NumClbits}
 	w.Ops = make([]WireOp, len(c.Ops))

@@ -1366,57 +1366,20 @@ func (s *Server) runBatch(batch []*job) {
 			probJobs = append(probJobs, j)
 		}
 	}
-	for _, j := range expJobs {
+	// Expectation, sweep and gradient jobs execute one by one (their keys
+	// are unique within a batch by single-flight, so each merged trace
+	// is both the job's breakdown and exactly one execution event),
+	// expectation jobs first. One compiled() resolution — a single
+	// compile or a structural-cache hit — serves every point of a sweep
+	// through rebinds. A configuration whose transform is
+	// value-dependent surfaces ErrNotRebindable from the compiled fast
+	// path and falls back to per-point compilation from the source
+	// circuit: same results, none of the compile-once savings.
+	var sweepPts uint64
+	for _, j := range append(expJobs, sweepJobs...) {
 		if cerr := j.flag.Err(); cerr != nil {
 			// The budget ran out while the job sat in the queue: fail it
 			// without paying for compilation or execution.
-			cancelledQueue++
-			outs = append(outs, outcome{j: j, err: queueExpiredErr(cerr), skipped: true})
-			continue
-		}
-		var comp *backend.Compiled
-		var ctr *telemetry.Trace
-		var res *backend.Result
-		var err error
-		if gerr := s.guardPanic(func() {
-			comp, ctr, err = s.compiled(j.circ, j.fp)
-			if err == nil {
-				res, err = core.RunExpectationCompiled(comp, j.ham, s.execOptionsCancel(j.flag))
-			}
-		}); gerr != nil {
-			res, err = nil, gerr
-		}
-		if cls := classifyExecErr(err); cls != err { //nolint:errorlint // identity check, not a match
-			res, err = nil, cls
-			cancelledRunning++
-		}
-		if res != nil {
-			// Expectation keys are unique within a batch (single-flight
-			// collapses duplicates), so the merged trace is both this
-			// job's breakdown and exactly one execution event.
-			tr := &telemetry.Trace{}
-			tr.Add(telemetry.StageQueueWait, dequeued.Sub(j.submittedAt))
-			tr.Append(ctr)
-			tr.Append(res.Trace)
-			res.Trace = tr
-			s.observeStages(tr)
-			mgpuExch += uint64(res.Exchanges)
-			mgpuAvoided += uint64(res.AvoidedExchanges)
-			mgpuBytes += res.BytesSent
-		}
-		outs = append(outs, outcome{j: j, res: res, err: err})
-	}
-	// Sweep and gradient jobs execute one by one like expectation jobs
-	// (their keys are unique within a batch by single-flight): one
-	// compiled() resolution — a single compile or a structural-cache
-	// hit — serves every point of the sweep through rebinds. A
-	// configuration whose transform is value-dependent surfaces
-	// ErrNotRebindable from the compiled fast path and falls back to
-	// per-point compilation from the source circuit: same results, none
-	// of the compile-once savings.
-	var sweepPts uint64
-	for _, j := range sweepJobs {
-		if cerr := j.flag.Err(); cerr != nil {
 			cancelledQueue++
 			outs = append(outs, outcome{j: j, err: queueExpiredErr(cerr), skipped: true})
 			continue
@@ -1431,17 +1394,20 @@ func (s *Server) runBatch(batch []*job) {
 				return
 			}
 			o := s.execOptionsCancel(j.flag)
-			o.Shots, o.Seed = j.opts.Shots, j.opts.Seed
-			if j.opts.Gradient {
+			o.Shots, o.Seed = j.opts.Shots, j.opts.Seed // ignored by exact expectation runs
+			switch {
+			case j.opts.Gradient:
 				res, err = core.RunGradientCompiled(comp, j.ham, j.circ.ParamValues(), o)
 				if errors.Is(err, backend.ErrNotRebindable) {
 					res, err = core.RunGradient(j.circ, j.ham, j.circ.ParamValues(), o)
 				}
-			} else {
+			case len(j.opts.SweepPoints) > 0:
 				res, err = core.RunSweepCompiled(comp, j.ham, j.opts.SweepPoints, o)
 				if errors.Is(err, backend.ErrNotRebindable) {
 					res, err = core.RunSweep(j.circ, j.ham, j.opts.SweepPoints, o)
 				}
+			default:
+				res, err = core.RunExpectationCompiled(comp, j.ham, o)
 			}
 		}); gerr != nil {
 			res, err = nil, gerr

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -263,8 +264,12 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 // TestFailureIsolation: a job that exceeds the single-device qubit
 // limit fails alone; batch-mates coalesced with it still succeed.
+// TestFailureIsolation: a job that fails at execution time fails alone
+// in its batch. Admission is disabled explicitly, so the GHZ-30 job
+// reaches the engine and fails there on statevec.MaxQubits whatever
+// the host's memory (the default budget is half of MemAvailable).
 func TestFailureIsolation(t *testing.T) {
-	s := newTestServer(t, Config{WorkerPool: 1, MaxBatch: 4, BatchWindow: 200 * time.Millisecond})
+	s := newTestServer(t, Config{WorkerPool: 1, MaxBatch: 4, BatchWindow: 200 * time.Millisecond, MaxStateBytes: -1})
 	good := circuit.GHZ(8, false)
 	bad := circuit.GHZ(30, false) // over statevec.MaxQubits
 	badInfo, err := s.Submit(bad, SubmitOptions{})
@@ -300,14 +305,40 @@ func TestFailureIsolation(t *testing.T) {
 	}
 }
 
+// TestFailureIsolationAdmission: under an explicit small budget the
+// same GHZ-30 circuit never reaches a worker — Submit rejects it.
+func TestFailureIsolationAdmission(t *testing.T) {
+	s := newTestServer(t, Config{WorkerPool: 1, MaxStateBytes: 1 << 20})
+	if _, err := s.Submit(circuit.GHZ(30, false), SubmitOptions{}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("GHZ-30 under a 1 MiB budget: err = %v, want ErrTooLarge", err)
+	}
+	if st := s.Stats(); st.RejectedTooLarge != 1 || st.Submitted != 0 || st.Failed != 0 {
+		t.Fatalf("rejected %d submitted %d failed %d, want 1/0/0", st.RejectedTooLarge, st.Submitted, st.Failed)
+	}
+}
+
 func TestQueueBackpressure(t *testing.T) {
-	s := newTestServer(t, Config{WorkerPool: 1, QueueSize: 1, MaxBatch: 1})
-	// Occupy the worker with a slow job.
+	// The execution hook holds the one worker inside its first job until
+	// the queue has been probed, so the test does not depend on how
+	// fast this host simulates.
+	// Buffered past the at most three executions (the slow job and the
+	// queued ones) so the hook never blocks on started.
+	started := make(chan struct{}, 8)
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // runs before the server's Close cleanup, even on t.Fatal
+	cfg := Config{WorkerPool: 1, QueueSize: 1, MaxBatch: 1}
+	cfg.ExecHook = func() {
+		started <- struct{}{}
+		<-release
+	}
+	s := newTestServer(t, cfg)
 	slow, err := s.Submit(testCircuit(t, 16, 120, 99), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond) // let the worker pick it up
+	<-started // the worker is now busy with the slow job
 	// Fill the queue, then overflow it.
 	var sawFull bool
 	for i := 0; i < 3; i++ {
@@ -320,6 +351,7 @@ func TestQueueBackpressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	unblock()
 	if !sawFull {
 		t.Fatal("bounded queue accepted more than its capacity while the worker was busy")
 	}

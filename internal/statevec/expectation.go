@@ -3,16 +3,16 @@ package statevec
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // Canonical Pauli-string expectation evaluation.
 //
 // ⟨ψ|P|ψ⟩ for a Pauli string P is computed directly against the
-// resident amplitude array — no clone, no basis-rotation sweeps, and
-// no materialization of a pending qubit permutation (the lazy
-// logical→physical table translates indices instead). P acts on a
-// basis state as P|b⟩ = phase(b)·|b ⊕ flip⟩ with flip = X|Y mask and
+// resident amplitude array — no clone, no basis-rotation sweeps. The
+// reduction has one layout policy: a pending qubit permutation is
+// materialized once (at most n−1 bit-swap sweeps), and every term then
+// indexes canonical amplitudes. A Hamiltonian of many terms pays the
+// permutation once, not once per term. P acts on a basis state as P|b⟩ = phase(b)·|b ⊕ flip⟩ with flip = X|Y mask and
 // phase(b) = i^{|Y|}·(−1)^{popcount(b & (Y|Z))}, so
 //
 //	⟨P⟩ = Σ_b conj(a_b)·phase(b⊕flip)·a_{b⊕flip}.
@@ -32,7 +32,7 @@ import (
 // tree (TreeSum). Because a rank shard of the distributed engine
 // covers a chunk-aligned, power-of-two, contiguous j-range, its
 // tree-reduced partial is an exact subtree of the global reduction:
-// single-device, tiled (permuted layout), and distributed evaluation
+// single-device, tiled (materialized layout), and distributed evaluation
 // produce bit-identical values, for any worker count and — via
 // expReserveBits — up to 2^expReserveBits ranks.
 
@@ -99,60 +99,6 @@ func iPow(k int) complex128 {
 	}
 }
 
-// PauliEvaluator caches the logical→physical index-chunk tables of a
-// state whose amplitude layout may be permuted, so every term of a
-// Hamiltonian indexes physical amplitudes directly: one table build
-// serves N term sweeps, and readout never materializes the layout.
-// The evaluator is read-only over the state and safe for concurrent
-// term evaluation, but it is a snapshot — it must be rebuilt if the
-// state's amplitudes or permutation change.
-type PauliEvaluator struct {
-	s            *State
-	tabLo, tabHi []uint64
-	loBits       uint
-	loMask       uint64
-}
-
-// PauliEvaluator builds the index-translation tables for the state's
-// current layout (identity tables when no permutation is pending).
-func (s *State) PauliEvaluator() *PauliEvaluator {
-	e := &PauliEvaluator{s: s}
-	e.loBits = uint(s.n) / 2
-	hiBits := uint(s.n) - e.loBits
-	e.loMask = uint64(1)<<e.loBits - 1
-	e.tabLo = make([]uint64, 1<<e.loBits)
-	e.tabHi = make([]uint64, 1<<hiBits)
-	if s.perm == nil {
-		for v := range e.tabLo {
-			e.tabLo[v] = uint64(v)
-		}
-		for v := range e.tabHi {
-			e.tabHi[v] = uint64(v) << e.loBits
-		}
-		return e
-	}
-	for v := range e.tabLo {
-		var p uint64
-		for b := uint(0); b < e.loBits; b++ {
-			p |= (uint64(v) >> b & 1) << uint(s.perm[b])
-		}
-		e.tabLo[v] = p
-	}
-	for v := range e.tabHi {
-		var p uint64
-		for b := uint(0); b < hiBits; b++ {
-			p |= (uint64(v) >> b & 1) << uint(s.perm[int(e.loBits)+int(b)])
-		}
-		e.tabHi[v] = p
-	}
-	return e
-}
-
-// phys maps a logical amplitude index to its physical slot.
-func (e *PauliEvaluator) phys(b uint64) uint64 {
-	return e.tabLo[b&e.loMask] | e.tabHi[b>>e.loBits]
-}
-
 // PauliShardArgs describes one shard's slice of the canonical
 // evaluation. A single-device state is the degenerate one-rank shard
 // (zero ParityBase, Phase0 = i^{|Y|}, pivot always local); the
@@ -180,7 +126,7 @@ type PauliShardArgs struct {
 	// ParityBase seeds the Z-parity with the rank bits' contribution
 	// (pure-Z terms with a local pivot only).
 	ParityBase int
-	// Partner is the partner shard's raw physical-layout amplitudes
+	// Partner is the partner shard's canonical-layout amplitudes
 	// for terms whose flip mask has rank bits; nil means both pair
 	// members are resident.
 	Partner []complex128
@@ -194,9 +140,10 @@ type PauliShardArgs struct {
 // and the number of enumerated indices (the visit count the
 // stride-iteration regression tests pin). For pure-Z terms the caller
 // converts the odd-parity mass S into 1 − 2·S after the final
-// reduction.
-func (e *PauliEvaluator) Shard(a PauliShardArgs) (float64, int) {
-	s := e.s
+// reduction. A pending permutation is materialized first; callers that
+// evaluate terms concurrently must materialize before they fan out.
+func (s *State) Shard(a PauliShardArgs) (float64, int) {
+	s.ensureCanonical()
 	m := s.n // log2 of the enumeration size
 	if a.Pivot >= 0 {
 		m = s.n - 1
@@ -211,7 +158,7 @@ func (e *PauliEvaluator) Shard(a PauliShardArgs) (float64, int) {
 	nChunks := 1 << uint(m-cb)
 	partials := make([]float64, nChunks)
 
-	var chunk func(c int)
+	var chunk func(c int) float64
 	if a.Flip {
 		flip := a.XMask | a.YMask // local flip; rank-bit pairs arrive via Partner
 		other := a.Partner
@@ -221,7 +168,7 @@ func (e *PauliEvaluator) Shard(a PauliShardArgs) (float64, int) {
 		sign := a.YMask | a.ZMask
 		ph0 := a.Phase0
 		pivot := a.Pivot
-		chunk = func(c int) {
+		chunk = func(c int) float64 {
 			var acc float64
 			lo, hi := c<<uint(cb), (c+1)<<uint(cb)
 			for j := lo; j < hi; j++ {
@@ -233,18 +180,18 @@ func (e *PauliEvaluator) Shard(a PauliShardArgs) (float64, int) {
 				if bits.OnesCount64(b&sign)&1 == 1 {
 					ph = -ph
 				}
-				am := s.amps[e.phys(b)]
-				pm := other[e.phys(b^flip)]
+				am := s.amps[b]
+				pm := other[b^flip]
 				t := ph * am * complex(real(pm), -imag(pm))
 				acc += 2 * real(t)
 			}
-			partials[c] = acc
+			return acc
 		}
 	} else {
 		zm := a.ZMask
 		pb := a.ParityBase & 1
 		pivot := a.Pivot
-		chunk = func(c int) {
+		chunk = func(c int) float64 {
 			var acc float64
 			lo, hi := c<<uint(cb), (c+1)<<uint(cb)
 			for j := lo; j < hi; j++ {
@@ -254,13 +201,17 @@ func (e *PauliEvaluator) Shard(a PauliShardArgs) (float64, int) {
 					par := (pb + bits.OnesCount64(b&zm)) & 1
 					b |= uint64(1-par) << uint(pivot)
 				}
-				am := s.amps[e.phys(b)]
+				am := s.amps[b]
 				acc += real(am)*real(am) + imag(am)*imag(am)
 			}
-			partials[c] = acc
+			return acc
 		}
 	}
-	s.forChunks(nChunks, 1<<uint(cb), chunk)
+	s.parallelTiles(nChunks, cb, func(_, lo, hi int) {
+		for c := lo; c < hi; c++ {
+			partials[c] = chunk(c)
+		}
+	})
 	return TreeSum(partials), 1 << uint(m)
 }
 
@@ -268,9 +219,8 @@ func (e *PauliEvaluator) Shard(a PauliShardArgs) (float64, int) {
 // qubit masks, returning the value (without any coefficient) and the
 // enumerated index count. The three masks must be disjoint and within
 // the register; all-zero masks denote the identity (value 1, zero
-// visits).
-func (e *PauliEvaluator) ExpPauli(xm, ym, zm uint64) (float64, int, error) {
-	s := e.s
+// visits). A pending permutation is materialized first (see Shard).
+func (s *State) ExpPauli(xm, ym, zm uint64) (float64, int, error) {
 	all := xm | ym | zm
 	if s.n < 64 && all>>uint(s.n) != 0 {
 		return 0, 0, fmt.Errorf("statevec: pauli masks %x/%x/%x exceed %d qubits", xm, ym, zm, s.n)
@@ -286,62 +236,10 @@ func (e *PauliEvaluator) ExpPauli(xm, ym, zm uint64) (float64, int, error) {
 		args.Flip = true
 		args.Phase0 = iPow(bits.OnesCount64(ym))
 		args.Pivot = bits.TrailingZeros64(flip)
-		v, visited := e.Shard(args)
+		v, visited := s.Shard(args)
 		return v, visited, nil
 	}
 	args.Pivot = bits.TrailingZeros64(zm)
-	sOdd, visited := e.Shard(args)
+	sOdd, visited := s.Shard(args)
 	return 1 - 2*sOdd, visited, nil
 }
-
-// ExpPauli is the one-shot form of PauliEvaluator().ExpPauli for a
-// single term; Hamiltonian sweeps should build one evaluator and
-// reuse it across terms.
-func (s *State) ExpPauli(xm, ym, zm uint64) (float64, int, error) {
-	return s.PauliEvaluator().ExpPauli(xm, ym, zm)
-}
-
-// forChunks runs work(c) for every chunk index, fanning contiguous
-// chunk ranges across the state's workers when the total element
-// count justifies it. Chunk partials land in disjoint slots, so the
-// reduction order (and hence the result) is independent of the worker
-// count.
-func (s *State) forChunks(nChunks, chunkLen int, work func(c int)) {
-	workers := s.workers
-	if workers > nChunks {
-		workers = nChunks
-	}
-	if workers <= 1 || nChunks*chunkLen < minParallelWork {
-		for c := 0; c < nChunks; c++ {
-			work(c)
-		}
-		return
-	}
-	per := (nChunks + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > nChunks {
-			hi = nChunks
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for c := lo; c < hi; c++ {
-				work(c)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// AmplitudesRaw exposes the amplitude slice in its current physical
-// layout WITHOUT materializing a pending qubit permutation — the
-// expectation path's exchange buffers ship raw layouts and translate
-// indices through the evaluator tables instead. Interpret indices via
-// Permutation(); use Amplitudes() for the canonical logical order.
-func (s *State) AmplitudesRaw() []complex128 { return s.amps }

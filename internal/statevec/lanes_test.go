@@ -505,7 +505,7 @@ func TestWorkerCountBitIdentity(t *testing.T) {
 
 // TestProbOneCollapseWorkerBitIdentity checks the chunked reductions:
 // ProbOne and CollapseQubit must produce bit-identical results at any
-// worker count (fixed chunk decomposition + TreeSum, the PauliEvaluator
+// worker count (fixed chunk decomposition + TreeSum, the Pauli reduction
 // contract).
 func TestProbOneCollapseWorkerBitIdentity(t *testing.T) {
 	rng := qmath.NewRNG(0xabcde)
