@@ -14,10 +14,11 @@ import (
 // Observable estimation as a first-class job kind: the compiled
 // TilePlan executes exactly once and every Pauli term of the
 // Hamiltonian is evaluated against the resident statevector — no
-// probability readout, no shot sampling. A pending plan permutation is
-// materialized once, before the first term. The single-process engines
-// share the canonical chunked reduction of statevec.State.Shard; the
-// mqpu target partitions terms across its simulated devices; the mgpu
+// probability readout, no shot sampling — in one block-major pass. A
+// pending plan permutation is materialized once, before the pass. The
+// single-process engines share the canonical chunked reduction of
+// statevec.State.ShardGroup; the mqpu target partitions terms across
+// its simulated devices, one pass per device; the mgpu
 // target computes rank-local partial sums with one gathered reduction. All engines
 // return bit-identical ⟨H⟩ values (the differential suite pins this).
 

@@ -1,10 +1,14 @@
 package backend
 
 import (
+	"errors"
 	"math"
 	"math/bits"
+	"strings"
 	"testing"
+	"time"
 
+	"qgear/internal/cancel"
 	"qgear/internal/circuit"
 	"qgear/internal/kernel"
 	"qgear/internal/observable"
@@ -351,5 +355,31 @@ func TestExpectationValidation(t *testing.T) {
 	}
 	if _, err := RunExpectation(c, observable.TransverseFieldIsing(4, 1, 1), Config{Target: "bogus"}); err == nil {
 		t.Fatal("invalid target accepted")
+	}
+}
+
+// TestExpectationCancelledFromExecHook trips the job's deadline from
+// the ExecHook of a circuit with no gates, so execution polls nothing
+// and the Pauli reduction is the first to see the flag: every engine
+// must return the deadline error from its reduction, not a value.
+func TestExpectationCancelledFromExecHook(t *testing.T) {
+	h := observable.TransverseFieldIsing(12, 1, 0.5)
+	h.Add(observable.NewTerm(2, nil)) // an identity term alone needs no pass
+	for _, cfg := range []Config{
+		{Target: TargetAer},
+		{Target: TargetNvidia},
+		{Target: TargetNvidiaMQPU, Devices: 3},
+		{Target: TargetNvidiaMGPU, Devices: 2},
+	} {
+		flag := &cancel.Flag{}
+		cfg.Cancel = flag
+		cfg.ExecHook = func() { flag.SetDeadline(time.Now().Add(-time.Second)) }
+		res, err := RunExpectation(circuit.New(12, 0), h, cfg)
+		if !errors.Is(err, cancel.ErrDeadline) || res != nil {
+			t.Fatalf("%s: got %v, %v; want the deadline error", cfg.Target, res, err)
+		}
+		if !strings.Contains(err.Error(), "expectation") {
+			t.Fatalf("%s: %v was not raised by the reduction", cfg.Target, err)
+		}
 	}
 }

@@ -141,6 +141,22 @@ func measure(fn func() error) (float64, error) {
 	return time.Since(start).Seconds(), err
 }
 
+// measureMedian runs fn reps times and returns the median wall time:
+// for millisecond-scale work one timing is at the mercy of a single
+// GC cycle or scheduler hiccup, the median of several is not.
+func measureMedian(reps int, fn func() error) (float64, error) {
+	ts := make([]float64, reps)
+	for i := range ts {
+		sec, err := measure(fn)
+		if err != nil {
+			return 0, err
+		}
+		ts[i] = sec
+	}
+	sort.Float64s(ts)
+	return ts[reps/2], nil
+}
+
 // fitExponentBase2 returns b from a least-squares fit y ≈ a·2^(b·x) —
 // used to verify the ~2^n scaling claims.
 func fitExponentBase2(points []Point) float64 {

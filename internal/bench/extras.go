@@ -237,6 +237,10 @@ func (r *Runner) Table2() (Experiment, error) {
 	return exp, nil
 }
 
+// appCReps is how many encodings time each Appendix C point (their
+// median is the point).
+const appCReps = 7
+
 // AppendixC regenerates the Appendix C claims: tensor-encoding time at
 // fixed capacity is nearly independent of circuit complexity, and HDF5
 // compression saves substantial space losslessly.
@@ -254,7 +258,7 @@ func (r *Runner) AppendixC() (Experiment, error) {
 		if err != nil {
 			return exp, err
 		}
-		sec, err := measure(func() error {
+		sec, err := measureMedian(appCReps, func() error {
 			_, err := tensorenc.Encode(circs, capacity)
 			return err
 		})

@@ -2,7 +2,7 @@
 // stack threads through the execution engines: a Flag is an atomic
 // cancelled bit plus an optional absolute deadline, and executors poll
 // Err at natural work boundaries (one tile run, one exchange segment,
-// one Pauli term) so a job that has outlived its budget stops within a
+// one pair of Pauli-reduction blocks) so a job that has outlived its budget stops within a
 // bounded amount of work instead of running to completion.
 //
 // The package sits below every engine (kernel, mgpu, observable,

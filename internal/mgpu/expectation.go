@@ -14,21 +14,25 @@ import (
 
 // Distributed observable estimation: every rank executes the compiled
 // plan (or the per-gate kernel) on its shard, materializes any pending
-// plan permutation once, then evaluates each Pauli term against the
-// *resident* shard amplitudes — no probability gather. The canonical
-// reduction of statevec's expectation contract makes rank partials
-// exact subtrees of the single-device reduction, so the gathered
-// value is bit-identical to the local engines (for up to 2^4 ranks,
-// the reserve the chunk width guarantees).
+// plan permutation once, then evaluates the Hamiltonian against the
+// *resident* shard amplitudes — no probability gather — in one
+// block-major pass per Hamiltonian; per-term summation order
+// unchanged. The canonical reduction of statevec's expectation
+// contract makes rank partials exact subtrees of the single-device
+// reduction, so the gathered value is bit-identical to the local
+// engines (for up to 2^4 ranks, the reserve the chunk width
+// guarantees).
 //
 // Rank-index bits of a term resolve per rank with zero communication:
 // a Z factor on a rank bit is a constant sign, a pure-rank-bit Z
 // string selects which ranks sit in the odd-parity subspace at all.
-// Only X/Y factors on rank bits move data — one pairwise buffer
-// exchange per such term (partner = rank XOR the term's global flip
-// mask), after which each rank holds both members of every amplitude
-// pair it owns. Per-term rank partials are gathered once at root:
-// rank-local partial sums plus a single reduction.
+// Every term without X/Y factors on rank bits joins the rank's one
+// grouped pass. Only X/Y factors on rank bits move data — one pairwise
+// buffer exchange per such term (partner = rank XOR the term's global
+// flip mask), after which each rank holds both members of every
+// amplitude pair it owns and evaluates that term alone. Per-term rank
+// partials are gathered once at root: rank-local partial sums plus a
+// single reduction.
 
 // ExpResult is what ExpectationKernel/ExpectationCompiled return at
 // root.
@@ -84,21 +88,21 @@ func buildTermSpecs(h *observable.Hamiltonian, n int) ([]termSpec, error) {
 	return specs, nil
 }
 
-// expTermPartial computes this rank's tree-reduced partial for one
-// term. Ranks that own no slice of the term's enumeration still take
-// part in its pairwise exchange (their partner needs the buffer) and
-// return 0.
-func (d *DistState) expTermPartial(sp termSpec) float64 {
-	if sp.identity {
-		return 0 // folded in at root as coef·1
-	}
+// shardArgs lowers a term onto this rank's shard: local masks, the
+// rank bits folded into the flip phase or the Z parity, and the pivot's
+// local position (−1 when it is a rank bit).
+func (d *DistState) shardArgs(sp termSpec) statevec.PauliShardArgs {
 	lmask := uint64(1)<<uint(d.local) - 1
 	rank := uint64(d.comm.Rank())
 	args := statevec.PauliShardArgs{
 		XMask:     sp.xm & lmask,
 		YMask:     sp.ym & lmask,
 		ZMask:     sp.zm & lmask,
+		Pivot:     -1,
 		ChunkBits: statevec.ExpChunkBits(d.n),
+	}
+	if sp.pivot < d.local {
+		args.Pivot = sp.pivot
 	}
 	if sp.flip != 0 {
 		args.Flip = true
@@ -107,42 +111,33 @@ func (d *DistState) expTermPartial(sp termSpec) float64 {
 			ph = -ph
 		}
 		args.Phase0 = ph
-		if sp.pivot < d.local {
-			args.Pivot = sp.pivot
-		} else {
-			args.Pivot = -1
-		}
-		if gflip := sp.flip >> uint(d.local); gflip != 0 {
-			// One exchange serves every pair of this term; both sides of
-			// a pivot pair must call it even if only one side sums.
-			args.Partner = d.exchange(d.comm.Rank() ^ int(gflip))
-		}
-		if args.Pivot < 0 && d.rankBit(sp.pivot) == 1 {
-			return 0 // the pivot-0 partner owns these pairs
-		}
-		v, _ := d.st.Shard(args)
-		return v
+		return args
 	}
-	// Pure-Z term: rank bits contribute parity, never data movement.
-	gz := sp.zm >> uint(d.local)
-	if sp.pivot < d.local {
-		args.Pivot = sp.pivot
-		args.ParityBase = bits.OnesCount64(rank&gz) & 1
-	} else {
-		// The Z string lives entirely on rank bits: this shard is wholly
-		// inside or wholly outside the odd-parity subspace.
-		if bits.OnesCount64(rank&gz)&1 == 0 {
-			return 0
-		}
-		args.Pivot = -1
+	// Pure-Z term: rank bits contribute parity, never data movement. A
+	// string wholly on rank bits leaves this shard wholly inside or
+	// outside the odd-parity subspace (rankParticipates decides).
+	args.ParityBase = bits.OnesCount64(rank&(sp.zm>>uint(d.local))) & 1
+	return args
+}
+
+// exchangeTermPartial computes this rank's tree-reduced partial for a
+// term with X/Y factors on rank bits: one pairwise exchange serves
+// every pair of the term, then a one-term pass. Ranks that own no
+// slice of the term's enumeration still take part in the exchange
+// (their partner needs the buffer) and return 0.
+func (d *DistState) exchangeTermPartial(sp termSpec) float64 {
+	args := d.shardArgs(sp)
+	args.Partner = d.exchange(d.comm.Rank() ^ int(sp.flip>>uint(d.local)))
+	if !rankParticipates(sp, d.comm.Rank(), d.local) {
+		return 0 // the pivot-0 partner owns these pairs
 	}
 	v, _ := d.st.Shard(args)
 	return v
 }
 
 // rankParticipates reports whether rank r owns a block of the term's
-// canonical enumeration — the root-side mirror of expTermPartial's
-// scheduling, used to assemble block partials in compact-index order.
+// canonical enumeration. Ranks use it to schedule their passes and the
+// root to assemble block partials in compact-index order.
 func rankParticipates(sp termSpec, r, local int) bool {
 	if sp.identity {
 		return false
@@ -201,10 +196,10 @@ func ExpectationCompiled(k *kernel.Kernel, plan *kernel.TilePlan, h *observable.
 }
 
 // ExpectationCompiledCancel is ExpectationCompiled with a cooperative
-// cancellation flag: polled collectively during plan/kernel execution
-// and once per Pauli term of the reduction (terms with rank-bit X/Y
-// factors pay a pairwise exchange, so the per-term poll uses the same
-// all-ranks-agree discipline).
+// cancellation flag: polled collectively during plan/kernel execution,
+// locally per block pair of the grouped pass and collectively right
+// after it, and collectively per term with rank-bit X/Y factors (those
+// pay a pairwise exchange, so every rank must agree before one starts).
 func ExpectationCompiledCancel(k *kernel.Kernel, plan *kernel.TilePlan, h *observable.Hamiltonian, nRanks, workersPerRank int, flag *cancel.Flag) (*ExpResult, error) {
 	specs, err := buildTermSpecs(h, k.NumQubits)
 	if err != nil {
@@ -224,15 +219,38 @@ func ExpectationCompiledCancel(k *kernel.Kernel, plan *kernel.TilePlan, h *obser
 		if err != nil {
 			return err
 		}
-		// Materialize the shard once, before the term sweep: every term
-		// and every exchange then reads the canonical layout.
+		// Materialize the shard once, before the pass: every term and
+		// every exchange then reads the canonical layout.
 		d.st.MaterializePerm()
 		partials := make([]float64, len(specs))
+		var group []statevec.PauliShardArgs
+		var slots, exch []int
 		for ti, sp := range specs {
+			switch {
+			case sp.flip>>uint(d.local) != 0:
+				exch = append(exch, ti)
+			case rankParticipates(sp, c.Rank(), d.local):
+				group = append(group, d.shardArgs(sp))
+				slots = append(slots, ti)
+			}
+		}
+		vals, _, gerr := d.st.ShardGroup(group, flag.Err)
+		// A pass stopped locally has tripped the flag for good, so the
+		// collective poll fails on every rank alike.
+		if err := d.pollCancel(flag); err != nil {
+			return fmt.Errorf("mgpu: expectation: %w", err)
+		}
+		if gerr != nil {
+			return gerr
+		}
+		for k, ti := range slots {
+			partials[ti] = vals[k]
+		}
+		for _, ti := range exch {
 			if err := d.pollCancel(flag); err != nil {
 				return fmt.Errorf("mgpu: expectation term %d: %w", ti, err)
 			}
-			partials[ti] = d.expTermPartial(sp)
+			partials[ti] = d.exchangeTermPartial(specs[ti])
 		}
 		all := c.GatherFloat64s(0, partials)
 		ex := c.Reduce(0, float64(d.Exchanges()), mpi.OpSum)

@@ -133,3 +133,67 @@ func TestExpectationIdentityAndEmpty(t *testing.T) {
 		t.Fatal("out-of-range term accepted")
 	}
 }
+
+// TestExpGroupBitIdentityRanks is the distributed half of the
+// block-major pass's exact-bits suite: random Hamiltonians with low
+// and high pivots, Z strings on the top qubits, every Y phase, rank-bit
+// X/Y terms (exchanged, evaluated alone), identity and duplicate terms,
+// at 2, 4 and 8 ranks, must reproduce the single-device value bit for
+// bit, and that value must equal the term-by-term sum of one-term
+// passes.
+func TestExpGroupBitIdentityRanks(t *testing.T) {
+	r := qmath.NewRNG(1018)
+	paulis := []observable.Pauli{observable.X, observable.Y, observable.Z}
+	for trial := 0; trial < 8; trial++ {
+		n := 5 + r.Intn(8) // 5..12
+		k := soupK(t, n, 40, r.Uint64())
+		h := &observable.Hamiltonian{NumQubits: n}
+		for i := 0; i < 12; i++ {
+			ops := make(map[int]observable.Pauli)
+			lo := 0
+			if r.Intn(2) == 0 {
+				lo = n / 2 // high pivots and top-qubit Z strings
+			}
+			for q := lo; q < n; q++ {
+				if r.Intn(3) == 0 {
+					ops[q] = paulis[r.Intn(3)]
+				}
+			}
+			term := observable.NewTerm(2*r.Float64()-1, ops)
+			h.Add(term)
+			if r.Intn(4) == 0 {
+				h.Add(term) // duplicate
+			}
+		}
+		h.Add(observable.NewTerm(0.5, nil))
+
+		want := singleDeviceExpectation(t, k, h)
+		s := statevec.MustNew(n, 1)
+		if err := kernel.Execute(k, s); err != nil {
+			t.Fatal(err)
+		}
+		var perTerm float64
+		for _, term := range h.Terms {
+			v, err := term.Expectation(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perTerm += v
+		}
+		if math.Float64bits(perTerm) != math.Float64bits(want) {
+			t.Fatalf("trial %d: grouped %.17g != per-term %.17g", trial, want, perTerm)
+		}
+		for _, ranks := range []int{2, 4, 8} {
+			if n-int(qmath.Log2Ceil(uint64(ranks))) < 2 {
+				continue
+			}
+			res, err := ExpectationKernel(k, h, ranks, 2)
+			if err != nil {
+				t.Fatalf("ranks=%d: %v", ranks, err)
+			}
+			if math.Float64bits(res.Value) != math.Float64bits(want) {
+				t.Fatalf("trial %d ranks=%d: %.17g != single-device %.17g", trial, ranks, res.Value, want)
+			}
+		}
+	}
+}

@@ -5,13 +5,15 @@
 // hardware resources, thereby enabling efficient parallelization".
 //
 // A Hamiltonian is a real-weighted sum of Pauli strings. Expectation
-// values are evaluated directly against the resident state vector
-// (statevec.State.ExpPauli): no clone, no basis-rotation sweeps, and
-// only the affected index half enumerated per term. A pending qubit
-// permutation is materialized once, before the first term, so every
-// term reads canonical indices. Partition splits the term list into
-// balanced groups, and ExpectationParallel evaluates terms
-// concurrently across simulated devices with a bit-identical result.
+// values are evaluated directly against the resident state vector in
+// one block-major pass per Hamiltonian; per-term summation order
+// unchanged (statevec.State.ExpPauliGroup): no clone, no basis-rotation
+// sweeps, and only the affected index half enumerated per term. A
+// pending qubit permutation is materialized once, before the pass, so
+// every term reads canonical indices. Partition splits the term list
+// into balanced groups, and ExpectationParallel evaluates stripes of
+// terms concurrently across simulated devices, one pass per stripe,
+// with a bit-identical result.
 package observable
 
 import (
@@ -117,15 +119,32 @@ func (t Term) Expectation(s *statevec.State) (float64, error) {
 // stride-iteration invariant the regression tests pin: non-identity
 // terms visit exactly half the state).
 func (t Term) expectationOn(s *statevec.State) (float64, int, error) {
-	xm, ym, zm, err := t.Masks(s.NumQubits())
+	vals, visited, err := evaluate(s, []Term{t}, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	val, visited, err := s.ExpPauli(xm, ym, zm)
-	if err != nil {
-		return 0, 0, err
+	return vals[0], visited[0], nil
+}
+
+// evaluate computes every term's coefficient-weighted value and visit
+// count in one grouped pass over s, polling flag per block pair.
+func evaluate(s *statevec.State, terms []Term, flag *cancel.Flag) ([]float64, []int, error) {
+	ps := make([]statevec.PauliMasks, len(terms))
+	for i, t := range terms {
+		xm, ym, zm, err := t.Masks(s.NumQubits())
+		if err != nil {
+			return nil, nil, err
+		}
+		ps[i] = statevec.PauliMasks{X: xm, Y: ym, Z: zm}
 	}
-	return t.Coef * val, visited, nil
+	vals, visited, err := s.ExpPauliGroup(ps, flag.Err)
+	if err != nil {
+		return nil, nil, fmt.Errorf("observable: expectation: %w", err)
+	}
+	for i, t := range terms {
+		vals[i] = t.Coef * vals[i]
+	}
+	return vals, visited, nil
 }
 
 // Hamiltonian is a sum of terms over NumQubits qubits.
@@ -182,20 +201,16 @@ func (h *Hamiltonian) Expectation(s *statevec.State) (float64, error) {
 }
 
 // ExpectationCancel is Expectation with a cooperative cancellation
-// flag, polled once per Pauli term — each term is a full pass over the
-// state, so that is the natural unit of interruptible work. A nil flag
+// flag, polled before every pair of blocks of the one grouped pass, so
+// a tripped flag stops the reduction within one block pair. A nil flag
 // never trips.
 func (h *Hamiltonian) ExpectationCancel(s *statevec.State, flag *cancel.Flag) (float64, error) {
-	s.MaterializePerm()
+	vals, _, err := evaluate(s, h.Terms, flag)
+	if err != nil {
+		return 0, err
+	}
 	var acc float64
-	for i, t := range h.Terms {
-		if err := flag.Err(); err != nil {
-			return 0, fmt.Errorf("observable: term %d: %w", i, err)
-		}
-		v, _, err := t.expectationOn(s)
-		if err != nil {
-			return 0, err
-		}
+	for _, v := range vals {
 		acc += v
 	}
 	return acc, nil
@@ -221,17 +236,18 @@ func (h *Hamiltonian) Partition(k int) [][]Term {
 // `devices` concurrent evaluators — the multi-device Hamiltonian
 // evaluation mode. A pending permutation is materialized before any
 // device starts, after which evaluation is read-only: every device
-// works against the one resident state (no per-device clones), and
-// per-term values land in a slice that is then summed in term order:
-// the result is bit-identical to Expectation for any device count.
+// evaluates its stripe of terms in one grouped pass over the one
+// resident state (no per-device clones), and per-term values land in
+// a slice that is then summed in term order: the result is
+// bit-identical to Expectation for any device count.
 func (h *Hamiltonian) ExpectationParallel(s *statevec.State, devices int) (float64, error) {
 	return h.ExpectationParallelCancel(s, devices, nil)
 }
 
 // ExpectationParallelCancel is ExpectationParallel with a cooperative
-// cancellation flag: every striped evaluator polls it per term and
-// abandons its remaining stripe once tripped, so the whole sweep stops
-// within one term per device. A nil flag never trips.
+// cancellation flag: every device's pass polls it per block pair and
+// abandons its stripe once tripped, so the whole evaluation stops
+// within one block pair per device worker. A nil flag never trips.
 func (h *Hamiltonian) ExpectationParallelCancel(s *statevec.State, devices int, flag *cancel.Flag) (float64, error) {
 	if devices < 1 {
 		devices = 1
@@ -243,28 +259,35 @@ func (h *Hamiltonian) ExpectationParallelCancel(s *statevec.State, devices int, 
 	// layout, so no write races a read.
 	s.MaterializePerm()
 	vals := make([]float64, len(h.Terms))
-	errs := make([]error, len(h.Terms))
+	errs := make([]error, devices)
 	var wg sync.WaitGroup
 	for d := 0; d < devices; d++ {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
+			var stripe []Term
 			for i := d; i < len(h.Terms); i += devices {
-				if err := flag.Err(); err != nil {
-					errs[i] = fmt.Errorf("observable: term %d: %w", i, err)
-					return
-				}
-				vals[i], _, errs[i] = h.Terms[i].expectationOn(s)
+				stripe = append(stripe, h.Terms[i])
+			}
+			sv, _, err := evaluate(s, stripe, flag)
+			if err != nil {
+				errs[d] = err
+				return
+			}
+			for k, v := range sv {
+				vals[d+k*devices] = v
 			}
 		}(d)
 	}
 	wg.Wait()
-	var acc float64
-	for i := range h.Terms {
-		if errs[i] != nil {
-			return 0, errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
 		}
-		acc += vals[i]
+	}
+	var acc float64
+	for _, v := range vals {
+		acc += v
 	}
 	return acc, nil
 }

@@ -1,10 +1,13 @@
 package observable
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"qgear/internal/cancel"
 	"qgear/internal/gate"
 	"qgear/internal/qmath"
 	"qgear/internal/statevec"
@@ -331,5 +334,28 @@ func TestParallelErrorPropagation(t *testing.T) {
 	s := statevec.MustNew(2, 1)
 	if _, err := h.ExpectationParallel(s, 2); err == nil {
 		t.Fatal("error not propagated from parallel group")
+	}
+}
+
+// TestExpectationCancelReturnsDeadline: a flag whose deadline has
+// passed makes the grouped reduction return the deadline error, not a
+// value, sequentially and on every device stripe, even when no term
+// needs a pass.
+func TestExpectationCancelReturnsDeadline(t *testing.T) {
+	s := ghz(t, 13)
+	h := TransverseFieldIsing(13, 1, 0.5)
+	idOnly := &Hamiltonian{NumQubits: 13}
+	idOnly.Add(NewTerm(1, nil))
+	flag := cancel.WithDeadline(time.Now().Add(-time.Second))
+	for _, hh := range []*Hamiltonian{h, idOnly} {
+		if v, err := hh.ExpectationCancel(s, flag); !errors.Is(err, cancel.ErrDeadline) || v != 0 {
+			t.Fatalf("sequential: %v, %v", v, err)
+		}
+		if v, err := hh.ExpectationParallelCancel(s, 3, flag); !errors.Is(err, cancel.ErrDeadline) || v != 0 {
+			t.Fatalf("parallel: %v, %v", v, err)
+		}
+	}
+	if _, err := h.ExpectationCancel(s, nil); err != nil {
+		t.Fatalf("nil flag: %v", err)
 	}
 }
